@@ -10,6 +10,10 @@ Regenerates the tracking tables:
 
 Expected shape: with a generous window every predictor works; as the
 window shrinks, better prediction keeps the player in view longer.
+
+The speed gate times the whole-shot tracker against the per-frame
+reference it replaced (:mod:`repro.tracking.reference`) on the same
+shots; CI demands a >= 2x median speedup and zero tracks that differ.
 """
 
 import numpy as np
@@ -21,6 +25,7 @@ from repro.tracking.predictor import (
     KalmanPredictor,
     StaticPredictor,
 )
+from repro.tracking.reference import reference_track
 from repro.tracking.tracker import PlayerTracker
 
 PREDICTORS = {
@@ -158,3 +163,45 @@ def test_e4_tracking_speed(benchmark, bench_tennis_clips):
     frames = list(clip)
     track = benchmark(PlayerTracker().track, frames)
     assert track.found_fraction > 0.9
+
+
+#: Trackers of the speed gate: the default near-player tracker, the
+#: far-player one, and a narrow window that loses and re-acquires.
+GATE_TRACKERS = (
+    PlayerTracker(),
+    PlayerTracker(half="far", min_area=8),
+    PlayerTracker(search_half_size=3, predictor_factory=StaticPredictor),
+)
+
+
+def _gate_shots(bench_tennis_clips):
+    return [list(clip) for clip, _truth in bench_tennis_clips.values()]
+
+
+def test_e4_reference_tracker(benchmark, bench_tennis_clips):
+    """Gate baseline: the per-frame reference tracker on every E4 shot."""
+    shots = _gate_shots(bench_tennis_clips)
+
+    def run():
+        return [reference_track(t, frames) for t in GATE_TRACKERS for frames in shots]
+
+    benchmark.pedantic(run, rounds=3, iterations=1)
+
+
+def test_e4_batched_tracker(benchmark, bench_tennis_clips):
+    """Gate candidate: the whole-shot tracker on the same shots.
+
+    ``mismatches`` counts the (tracker, shot) pairs whose ``Track``
+    differs from :func:`reference_track` in any point or float.
+    """
+    shots = _gate_shots(bench_tennis_clips)
+
+    def run():
+        return [t.track(frames) for t in GATE_TRACKERS for frames in shots]
+
+    tracks = benchmark.pedantic(run, rounds=3, iterations=1)
+    want = [reference_track(t, frames) for t in GATE_TRACKERS for frames in shots]
+    mismatches = sum(got != ref for got, ref in zip(tracks, want))
+    benchmark.extra_info["mismatches"] = mismatches
+    benchmark.extra_info["tracks"] = len(tracks)
+    assert mismatches == 0

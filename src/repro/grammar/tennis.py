@@ -34,7 +34,6 @@ from repro.grammar.fde import FeatureDetectorEngine
 from repro.grammar.grammar import FeatureGrammar, parse_feature_grammar
 from repro.shots.boundary import TwinComparisonDetector
 from repro.shots.segmenter import DetectedShot, SegmentDetector
-from repro.tracking.court_model import CourtColorModel
 from repro.tracking.segmentation import court_bounds
 from repro.tracking.tracker import PlayerTracker, Track
 from repro.video.shots import ShotCategory
@@ -68,6 +67,9 @@ DETECTOR shape BLACK : player -> shape ;
 # Spatio-temporal event rules (white box: interpreted grammar rules).
 DETECTOR rules WHITE : player, shape -> event ;
 """
+
+#: Court-colour threshold the event zones are drawn at.
+_ZONES_K = 4.0
 
 
 @dataclass
@@ -107,8 +109,11 @@ def track_shot_player(
     (the ``player`` object drives events), then the optional far player.
     """
     track = tracker.track(frames)
-    color_model = CourtColorModel.estimate(frames[0])
-    bounds = court_bounds(frames[0], color_model)
+    bounds = track.bounds
+    if bounds is None or tracker.court_k != _ZONES_K:
+        # The tracker found no court, did not look for one, or drew the
+        # bounds at its own threshold: zones come from the default one.
+        bounds = court_bounds(frames[0], track.court, k=_ZONES_K)
     zones = CourtZones.from_court_bounds(bounds) if bounds else None
     obj = model.add_object(
         shot_id,

@@ -9,6 +9,7 @@ robust to camera gain differences between shots.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -64,17 +65,40 @@ class CourtColorModel:
         std = np.maximum(pixels.std(axis=0), cls._STD_FLOOR)
         return cls(mean=pixels.mean(axis=0), std=std)
 
-    def distance(self, frame: np.ndarray) -> np.ndarray:
+    @cached_property
+    def _square_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per channel, the scaled squared difference of every uint8 value."""
+        values = np.arange(256, dtype=np.float64)
+        tables = []
+        for c in range(3):
+            scaled = (values - self.mean[c]) / self.std[c]
+            tables.append(scaled * scaled)
+        return tables[0], tables[1], tables[2]
+
+    def distance(self, frames: np.ndarray) -> np.ndarray:
         """Per-pixel normalised distance from the court colour.
 
         Each channel difference is scaled by that channel's std, so the
         result is a Mahalanobis-style distance (diagonal covariance).
-        The squared distance is expanded per channel — the same
-        left-to-right sum as a reduction over the 3-wide channel axis,
-        which NumPy evaluates far slower; this runs per tracked frame,
-        so it is on the tennis detector's hot path.
+        *frames* is one ``(H, W, 3)`` frame or an ``(N, H, W, 3)`` stack.
+
+        For ``uint8`` pixels each channel's scaled square is looked up in
+        a 256-entry table built with the very float operations the
+        arithmetic path applies per pixel, and the three are summed left
+        to right as that path sums them, so both give the same bits.
         """
-        rgb = ensure_rgb(frame).astype(np.float64)
+        arr = np.asarray(frames)
+        if arr.ndim not in (3, 4) or arr.shape[-1] != 3:
+            raise ValueError(
+                f"expected (H, W, 3) or (N, H, W, 3) RGB pixels, got shape {arr.shape}"
+            )
+        if arr.dtype == np.uint8:
+            t0, t1, t2 = self._square_tables
+            squared = np.take(t0, arr[..., 0])
+            squared += np.take(t1, arr[..., 1])
+            squared += np.take(t2, arr[..., 2])
+            return np.sqrt(squared, out=squared)
+        rgb = arr.astype(np.float64)
         s0 = (rgb[..., 0] - self.mean[0]) / self.std[0]
         s1 = (rgb[..., 1] - self.mean[1]) / self.std[1]
         s2 = (rgb[..., 2] - self.mean[2]) / self.std[2]

@@ -92,16 +92,7 @@ class SearchWindow:
 
     def to_frame(self, region: Region) -> Region:
         """Translate a region found in window coordinates back to the frame."""
-        r0, c0, r1, c1 = region.bbox
-        return Region(
-            label=region.label,
-            area=region.area,
-            bbox=(r0 + self.row_min, c0 + self.col_min, r1 + self.row_min, c1 + self.col_min),
-            centroid=(
-                region.centroid[0] + self.row_min,
-                region.centroid[1] + self.col_min,
-            ),
-        )
+        return region.shifted(self.row_min, self.col_min)
 
 
 def restrict_to_bounds(mask: np.ndarray, bounds: tuple[int, int, int, int]) -> np.ndarray:

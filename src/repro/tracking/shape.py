@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.vision.moments import ShapeFeatures, shape_features
+from repro.vision.moments import ShapeFeatures, shape_features_from_points
 from repro.vision.regions import Region
 
 __all__ = ["PlayerObservation", "observe_player"]
@@ -44,13 +44,15 @@ def observe_player(
         region: the player blob (frame coordinates).
     """
     r0, c0, r1, c1 = region.bbox
-    local_mask = np.zeros_like(mask)
-    local_mask[r0:r1, c0:c1] = mask[r0:r1, c0:c1]
-    shape = shape_features(local_mask)
-    if shape is None:
+    # nonzero over the bbox crop, shifted back to frame coordinates, lists
+    # the same points in the same row-major order as over the full mask.
+    rows, cols = np.nonzero(mask[r0:r1, c0:c1])
+    if rows.size == 0:
         raise ValueError("player region produced an empty mask")
-    pixels = frame[local_mask]
-    color = pixels.mean(axis=0) if len(pixels) else np.zeros(3)
+    rows += r0
+    cols += c0
+    shape = shape_features_from_points(rows, cols)
+    color = frame[rows, cols].mean(axis=0)
     return PlayerObservation(
         position=shape.centroid,
         shape=shape,

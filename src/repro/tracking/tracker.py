@@ -8,6 +8,14 @@ For a shot classified as tennis, the tracker:
    window around the prediction for the most similar not-court region,
 4. re-acquires by full near-half segmentation when the track is lost.
 
+The per-pixel work does not depend on the track, so it runs once per
+block of frames: court distance, not-court mask and opening for
+``_BLOCK`` frames at a time, and only over the court plus the margin
+the opening reaches across.  Only the predict -> search loop is
+sequential; it labels just the search window (or the search half on
+re-acquisition) of masks already computed.  The result equals the
+frame-by-frame loop kept in :mod:`repro.tracking.reference` exactly.
+
 The output :class:`Track` carries a :class:`TrackPoint` per frame with
 the blob position and the full shape observation (or a miss marker).
 """
@@ -20,18 +28,16 @@ import numpy as np
 
 from repro.tracking.court_model import CourtColorModel
 from repro.tracking.predictor import KalmanPredictor
-from repro.tracking.segmentation import (
-    SearchWindow,
-    clean_mask,
-    court_bounds,
-    initial_player_region,
-    not_court_mask,
-    restrict_to_bounds,
-)
+from repro.tracking.segmentation import SearchWindow, court_bounds
 from repro.tracking.shape import PlayerObservation, observe_player
+from repro.vision.morphology import opening_stack
 from repro.vision.regions import Region, regions_in
 
 __all__ = ["PlayerTracker", "Track", "TrackPoint"]
+
+#: Frames whose masks are computed together: enough to amortise the
+#: per-call overhead, few enough to keep the float distance block small.
+_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -55,9 +61,18 @@ class TrackPoint:
 
 @dataclass
 class Track:
-    """A complete track through one shot."""
+    """A complete track through one shot.
+
+    ``court`` and ``bounds`` are the court colour model and court
+    bounding box the tracker estimated from the first frame, handed back
+    so callers need not estimate them again.  ``bounds`` is ``None``
+    when no court was found or, with a too-spread colour model, none was
+    looked for.  Neither takes part in equality.
+    """
 
     points: list[TrackPoint] = field(default_factory=list)
+    court: CourtColorModel | None = field(default=None, compare=False, repr=False)
+    bounds: tuple[int, int, int, int] | None = field(default=None, compare=False)
 
     def __len__(self) -> int:
         return len(self.points)
@@ -129,114 +144,107 @@ class PlayerTracker:
         self.max_color_std = max_color_std
         self.half = half
 
-    @staticmethod
-    def _near_half(bounds: tuple[int, int, int, int]) -> tuple[int, int, int, int]:
-        """The lower (near) half of the court bounding box."""
+    def search_half(self, bounds: tuple[int, int, int, int]) -> tuple[int, int, int, int]:
+        """The half of the court bounding box the player is searched in:
+        the lower (near) or upper (far) one."""
         r0, c0, r1, c1 = bounds
-        return (r0 + r1) // 2, c0, r1, c1
+        middle = (r0 + r1) // 2
+        return (r0, c0, middle, c1) if self.half == "far" else (middle, c0, r1, c1)
 
-    @staticmethod
-    def _far_half(bounds: tuple[int, int, int, int]) -> tuple[int, int, int, int]:
-        """The upper (far) half of the court bounding box."""
-        r0, c0, r1, c1 = bounds
-        return r0, c0, (r0 + r1) // 2, c1
+    def _court_masks(self, frames, model, bounds) -> np.ndarray:
+        """Cleaned not-court masks of *frames*, zero outside *bounds*.
 
-    def _search_half(self, bounds: tuple[int, int, int, int]) -> tuple[int, int, int, int]:
-        return self._far_half(bounds) if self.half == "far" else self._near_half(bounds)
-
-    def _acquire(
-        self,
-        frame: np.ndarray,
-        model: CourtColorModel,
-        bounds: tuple[int, int, int, int],
-    ) -> Region | None:
-        """Full near-half segmentation (initial detection / re-acquisition)."""
-        return initial_player_region(
-            frame,
-            model,
-            bounds=self._search_half(bounds),
-            k=self.court_k,
-            min_area=self.min_area,
-            open_size=self.open_size,
-        )
-
-    def _search(
-        self,
-        frame: np.ndarray,
-        model: CourtColorModel,
-        bounds: tuple[int, int, int, int],
-        prediction: tuple[float, float],
-    ) -> tuple[Region | None, np.ndarray]:
-        """Search the window around *prediction* for the player blob.
-
-        Returns the best region (frame coordinates) and the cleaned
-        court-restricted mask it was found in.
+        Pixels outside the bounds are zeroed anyway, so the distance and
+        opening run only on the bounds grown by the ``open_size - 1``
+        pixels an opening reaches across.  Where that margin is clipped
+        at the frame edge, the crop edge is the frame edge, which the
+        opening treats as false just as it does for a whole frame.
         """
-        mask = restrict_to_bounds(
-            clean_mask(
-                not_court_mask(frame, model, k=self.court_k), open_size=self.open_size
-            ),
-            bounds,
-        )
-        window = SearchWindow(
-            prediction, self.search_half_size, (frame.shape[0], frame.shape[1])
-        )
-        if window.empty:
-            return None, mask
-        local = window.crop(mask)
-        regions = regions_in(local, min_area=self.min_area)
+        h, w = frames[0].shape[:2]
+        r0, c0, r1, c1 = bounds
+        reach = self.open_size - 1
+        top, left = max(r0 - reach, 0), max(c0 - reach, 0)
+        bottom, right = min(r1 + reach, h), min(c1 + reach, w)
+        crops = np.stack([frame[top:bottom, left:right] for frame in frames])
+        cleaned = opening_stack(~(model.distance(crops) <= self.court_k), self.open_size)
+        masks = np.zeros((len(frames), h, w), dtype=bool)
+        masks[:, r0:r1, c0:c1] = cleaned[:, r0 - top : r1 - top, c0 - left : c1 - left]
+        return masks
+
+    def _acquire(self, mask: np.ndarray, half: tuple[int, int, int, int]) -> Region | None:
+        """Largest blob in the search half (initial detection / re-acquisition).
+
+        Only the half is labelled; everything outside it is zero in a
+        half-restricted mask, so blobs, their order and their areas are
+        those of labelling the whole frame.
+        """
+        r0, c0, r1, c1 = half
+        regions = regions_in(mask[r0:r1, c0:c1], min_area=self.min_area)
         if not regions:
-            return None, mask
-        # The most similar region: nearest centroid to the prediction.
+            return None
+        # Shifting may round the centroid differently from labelling the
+        # whole frame; only the area and bbox are used downstream.
+        return max(regions, key=lambda r: r.area).shifted(r0, c0)
+
+    def _search(self, mask: np.ndarray, prediction: tuple[float, float]) -> Region | None:
+        """The blob in the window around *prediction* nearest to it."""
+        window = SearchWindow(prediction, self.search_half_size, mask.shape)
+        if window.empty:
+            return None
+        regions = regions_in(window.crop(mask), min_area=self.min_area)
+        if not regions:
+            return None
+
         def distance(region: Region) -> float:
             centre = window.to_frame(region).centroid
             return float(
                 np.hypot(centre[0] - prediction[0], centre[1] - prediction[1])
             )
 
-        best = min(regions, key=distance)
-        return window.to_frame(best), mask
+        return window.to_frame(min(regions, key=distance))
 
     def track(self, frames: list[np.ndarray]) -> Track:
         """Track the player through the frames of one tennis shot."""
         if not frames:
             raise ValueError("cannot track an empty shot")
         model = CourtColorModel.estimate(frames[0])
+        misses = [TrackPoint(frame=i, found=False) for i in range(len(frames))]
         if float(model.std.max()) > self.max_color_std:
             # No coherent field colour (not actually a court shot): the
             # "court" model would cover arbitrary pixels, so every frame
             # is a miss rather than a fabricated track.
-            return Track(
-                points=[TrackPoint(frame=i, found=False) for i in range(len(frames))]
-            )
+            return Track(points=misses, court=model)
         bounds = court_bounds(frames[0], model, k=self.court_k)
         if bounds is None:
             # No court surface: every frame is a miss (not a tennis shot).
-            return Track(points=[TrackPoint(frame=i, found=False) for i in range(len(frames))])
+            return Track(points=misses, court=model)
+        half = self.search_half(bounds)
+        h, w = frames[0].shape[:2]
+        r0, c0, r1, c1 = half
+        if not (0 <= r0 < r1 <= h and 0 <= c0 < c1 <= w):
+            # The first frame always acquires, over this half.
+            raise ValueError(f"invalid bounds {half} for frame {h}x{w}")
         predictor = self.predictor_factory()
-        track = Track()
+        track = Track(court=model, bounds=bounds)
 
-        for index, frame in enumerate(frames):
-            prediction = predictor.predict()
-            region: Region | None = None
-            mask: np.ndarray | None = None
-            if prediction is not None:
-                region, mask = self._search(frame, model, bounds, prediction)
-            if region is None:
-                region = self._acquire(frame, model, bounds)
-                mask = restrict_to_bounds(
-                    clean_mask(
-                        not_court_mask(frame, model, k=self.court_k),
-                        open_size=self.open_size,
-                    ),
-                    self._search_half(bounds),
+        for start in range(0, len(frames), _BLOCK):
+            block = frames[start : start + _BLOCK]
+            masks = self._court_masks(block, model, bounds)
+            for offset, (frame, mask) in enumerate(zip(block, masks)):
+                index = start + offset
+                prediction = predictor.predict()
+                region = None if prediction is None else self._search(mask, prediction)
+                if region is None:
+                    region = self._acquire(mask, half)
+                if region is None:
+                    track.points.append(TrackPoint(frame=index, found=False))
+                    continue
+                # The region lies inside the half (or the bounds) it was
+                # found in, so its bbox crop of the bounds-restricted
+                # mask is the crop of the mask it was found in.
+                observation = observe_player(frame, mask, region)
+                predictor.update(observation.position)
+                track.points.append(
+                    TrackPoint(frame=index, found=True, observation=observation)
                 )
-            if region is None:
-                track.points.append(TrackPoint(frame=index, found=False))
-                continue
-            observation = observe_player(frame, mask, region)
-            predictor.update(observation.position)
-            track.points.append(
-                TrackPoint(frame=index, found=True, observation=observation)
-            )
         return track

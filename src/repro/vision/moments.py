@@ -22,6 +22,7 @@ __all__ = [
     "central_moments",
     "shape_features",
     "shape_features_batch",
+    "shape_features_from_points",
 ]
 
 
@@ -87,12 +88,14 @@ def central_moments(mask: np.ndarray) -> dict[str, float]:
     }
 
 
-def _features_from_points(rows: np.ndarray, cols: np.ndarray) -> ShapeFeatures:
+def shape_features_from_points(rows: np.ndarray, cols: np.ndarray) -> ShapeFeatures:
     """Shape descriptors from the true-pixel coordinates of one region.
 
     The coordinate arrays must come from ``np.nonzero`` on a 2-D mask
-    (row-major order) — both the single-mask and batched entry points
-    funnel through here, so their outputs are identical by construction.
+    (row-major order), or on a crop of it shifted back by the crop's
+    offset — the single-mask and batched entry points and the tracker's
+    player observation all funnel through here, so their outputs are
+    identical by construction.
     """
     area = int(rows.size)
     r_mean = float(rows.mean())
@@ -151,7 +154,7 @@ def shape_features(mask: np.ndarray) -> ShapeFeatures | None:
     rows, cols = np.nonzero(arr)
     if rows.size == 0:
         return None
-    return _features_from_points(rows, cols)
+    return shape_features_from_points(rows, cols)
 
 
 def shape_features_batch(masks: np.ndarray) -> list[ShapeFeatures | None]:
@@ -173,5 +176,5 @@ def shape_features_batch(masks: np.ndarray) -> list[ShapeFeatures | None]:
         if start == stop:
             out.append(None)
         else:
-            out.append(_features_from_points(rows[start:stop], cols[start:stop]))
+            out.append(shape_features_from_points(rows[start:stop], cols[start:stop]))
     return out

@@ -3,7 +3,9 @@
 The player segmentation step produces a binary "not court" mask; the
 tracker then needs the connected regions of that mask to find the player
 blob.  Labelling uses scipy's optimised implementation with pure-NumPy
-helpers around it.
+helpers around it: areas and centroids come from ``np.bincount`` over the
+label image.  Coordinate sums are sums of integers, exact in float64, so
+every centroid equals ``ndimage.center_of_mass`` bit for bit.
 """
 
 from __future__ import annotations
@@ -14,6 +16,9 @@ import numpy as np
 from scipy import ndimage
 
 __all__ = ["Region", "label_regions", "region_slices", "largest_region", "regions_in"]
+
+#: Neighbourhoods of 4- and 8-connectivity, by ``connectivity``.
+_STRUCTURES = {c: ndimage.generate_binary_structure(2, c) for c in (1, 2)}
 
 
 @dataclass(frozen=True)
@@ -40,6 +45,16 @@ class Region:
     def width(self) -> int:
         return self.bbox[3] - self.bbox[1]
 
+    def shifted(self, rows: int, cols: int) -> "Region":
+        """The region moved by ``(rows, cols)`` — from crop to frame coordinates."""
+        r0, c0, r1, c1 = self.bbox
+        return Region(
+            label=self.label,
+            area=self.area,
+            bbox=(r0 + rows, c0 + cols, r1 + rows, c1 + cols),
+            centroid=(self.centroid[0] + rows, self.centroid[1] + cols),
+        )
+
 
 def label_regions(mask: np.ndarray, connectivity: int = 2) -> tuple[np.ndarray, int]:
     """Label connected components of a boolean mask.
@@ -57,8 +72,7 @@ def label_regions(mask: np.ndarray, connectivity: int = 2) -> tuple[np.ndarray, 
         raise ValueError(f"expected a 2-D mask, got shape {arr.shape}")
     if connectivity not in (1, 2):
         raise ValueError("connectivity must be 1 or 2")
-    structure = ndimage.generate_binary_structure(2, connectivity)
-    labels, count = ndimage.label(arr, structure=structure)
+    labels, count = ndimage.label(arr, structure=_STRUCTURES[connectivity])
     return labels, int(count)
 
 
@@ -73,21 +87,29 @@ def regions_in(mask: np.ndarray, connectivity: int = 2, min_area: int = 1) -> li
     labels, count = label_regions(mask, connectivity=connectivity)
     if count == 0:
         return []
-    areas = ndimage.sum_labels(np.ones_like(labels), labels, index=range(1, count + 1))
-    centroids = ndimage.center_of_mass(mask, labels, index=range(1, count + 1))
+    h, w = labels.shape
+    flat = labels.ravel()
+    areas = np.bincount(flat, minlength=count + 1)
+    rows = np.repeat(np.arange(h, dtype=np.float64), w)
+    cols = np.tile(np.arange(w, dtype=np.float64), h)
+    row_sums = np.bincount(flat, weights=rows, minlength=count + 1)
+    col_sums = np.bincount(flat, weights=cols, minlength=count + 1)
     slices = ndimage.find_objects(labels, max_label=count)
     regions: list[Region] = []
-    for idx in range(count):
-        area = int(areas[idx])
-        if area < min_area or slices[idx] is None:
+    for label in range(1, count + 1):
+        area = int(areas[label])
+        if area < min_area or slices[label - 1] is None:
             continue
-        rs, cs = slices[idx]
+        rs, cs = slices[label - 1]
         regions.append(
             Region(
-                label=idx + 1,
+                label=label,
                 area=area,
                 bbox=(rs.start, cs.start, rs.stop, cs.stop),
-                centroid=(float(centroids[idx][0]), float(centroids[idx][1])),
+                centroid=(
+                    float(row_sums[label] / areas[label]),
+                    float(col_sums[label] / areas[label]),
+                ),
             )
         )
     return regions
