@@ -10,6 +10,12 @@ corpus, the same scaling trick E6 uses for text.  The gate demands
 - ``fused_mismatches == 0``: with every cell probed the index must
   reproduce the oracle — and therefore the fused ranking — byte for
   byte.  Approximation is allowed only where it is asked for.
+
+The vectorizer gate times the query side of query-by-example: shot
+vectors of degraded example clips through the channel-plane shot pass
+against the per-frame oracle
+(:func:`repro.ir.ann_reference.reference_shot_vector`).  CI demands a
+>= 3x median speedup and ``mismatches == 0``.
 """
 
 import numpy as np
@@ -17,7 +23,13 @@ import pytest
 
 from benchmarks.conftest import print_table
 from repro.ir.ann import AnnIndex, ShotVectorizer
-from repro.ir.ann_reference import brute_force_search, recall_at_k, replicate_vectors
+from repro.ir.ann_reference import (
+    brute_force_search,
+    recall_at_k,
+    reference_shot_vector,
+    replicate_vectors,
+)
+from repro.video.frames import VideoClip
 
 #: Corpus replication factor; >= 25x is where the vectorized cell scan
 #: separates from the oracle's per-row loop (same rationale as E6).
@@ -27,19 +39,33 @@ N_CELLS = 16
 NPROBE = 4
 #: Fusion weights used for the byte-identity check.
 WEIGHTS = (0.5, 0.5)
+#: Example clips for the vectorizer gate.
+EXAMPLES = 16
+
+
+def degraded_example(clip, start, stop, rng):
+    """A query-by-example clip cut from a shot: 60-90% of it, +-8 noise."""
+    keep = max(2, int((stop - start) * float(rng.uniform(0.6, 0.9))))
+    offset = start + int(rng.integers(0, stop - start - keep + 1))
+    block = np.stack([clip[i] for i in range(offset, offset + keep)]).astype(np.int16)
+    block += rng.integers(-8, 9, size=block.shape, dtype=np.int16)
+    return VideoClip(list(np.clip(block, 0, 255).astype(np.uint8)), fps=clip.fps)
 
 
 @pytest.fixture(scope="module")
 def ann_corpus(bench_dataset):
     """Replicated shot-vector corpus, built index and degraded queries."""
     vectorizer = ShotVectorizer()
-    base = []
+    rng = np.random.default_rng(3)
+    base, examples = [], []
     for plan in bench_dataset.video_plans[:4]:
         clip, truth = plan.materialise()
         for shot in truth.shots:
             stop = min(shot.stop, len(clip))
             if stop > shot.start:
                 base.append(vectorizer.vectorize_clip(clip, shot.start, stop))
+                if len(examples) < EXAMPLES:
+                    examples.append(degraded_example(clip, shot.start, stop, rng))
     base = np.array(base)
     scaled = replicate_vectors(base, REPLICATION, np.random.default_rng(0))
     return {
@@ -47,6 +73,7 @@ def ann_corpus(bench_dataset):
         "index": AnnIndex.build(scaled, n_cells=N_CELLS, rng=np.random.default_rng(1)),
         # Jittered copies of indexed shots: stand-ins for degraded clips.
         "queries": replicate_vectors(base[:8], 1, np.random.default_rng(7)),
+        "examples": examples,
     }
 
 
@@ -126,6 +153,38 @@ def test_e19_ann_search(benchmark, ann_corpus):
     benchmark.extra_info["vectors"] = len(vectors)
     assert serving_recall >= 0.9
     assert fused_mismatches == 0
+
+
+def test_e19_reference_vectorize(benchmark, ann_corpus):
+    """Gate baseline: per-frame shot vectors of the example clips."""
+    vectorizer = ShotVectorizer()
+    examples = ann_corpus["examples"]
+    benchmark.pedantic(
+        lambda: [reference_shot_vector(vectorizer, clip) for clip in examples],
+        rounds=5,
+        iterations=1,
+    )
+
+
+def test_e19_vectorize(benchmark, ann_corpus):
+    """Gate candidate: ``vectorize_clip`` through the channel-plane shot pass.
+
+    Every vector must equal the per-frame oracle's bit for bit.
+    """
+    vectorizer = ShotVectorizer()
+    examples = ann_corpus["examples"]
+    vectors = benchmark.pedantic(
+        lambda: [vectorizer.vectorize_clip(clip) for clip in examples],
+        rounds=5,
+        iterations=1,
+    )
+    mismatches = sum(
+        not np.array_equal(vector, reference_shot_vector(vectorizer, clip))
+        for vector, clip in zip(vectors, examples)
+    )
+    benchmark.extra_info["mismatches"] = mismatches
+    benchmark.extra_info["examples"] = len(examples)
+    assert mismatches == 0
 
 
 def test_e19_index_build_speed(benchmark, ann_corpus):

@@ -34,7 +34,8 @@ import numpy as np
 from repro.budget import QueryBudget
 from repro.shots.classify import ShotFeatureExtractor, ShotFeatures
 from repro.video.frames import VideoClip
-from repro.vision.histogram import color_histogram
+from repro.vision.color import channel_planes
+from repro.vision.histogram import plane_color_histograms
 
 __all__ = [
     "AnnIndex",
@@ -93,17 +94,23 @@ class ShotVectorizer:
         return self.bins**3 + 5 + 4
 
     def vector_from_frames(self, frames: list[np.ndarray]) -> np.ndarray:
-        """The feature vector of a shot given as its frames."""
-        features = self.extractor.extract(frames)
-        picks = [frames[i] for i in self.extractor.sample_indices(len(frames))]
-        hist = np.mean([color_histogram(f, bins=self.bins) for f in picks], axis=0)
+        """The feature vector of a shot given as its frames.
+
+        The sampled frames are copied once into channel planes, which
+        yield both the :class:`ShotFeatures` and the colour histograms.
+        """
+        planes = channel_planes(self.extractor.sampled_frames(frames))
+        features = self.extractor.features_from_planes(planes)
+        hist = np.mean(plane_color_histograms(planes, self.bins), axis=0)
         return self._assemble(hist, features)
 
     def vectorize_clip(self, clip: VideoClip, start: int = 0, stop: int | None = None):
-        """The feature vector of ``clip[start:stop]`` (whole clip by default)."""
-        stop = len(clip) if stop is None else stop
-        frames = [clip[i] for i in range(start, stop)]
-        return self.vector_from_frames(frames)
+        """The feature vector of ``clip[start:stop]`` (whole clip by default).
+
+        Raises:
+            ValueError: unless ``0 <= start < stop <= len(clip)``.
+        """
+        return self.vector_from_frames(self.extractor.sampled_frames(clip, start, stop))
 
     def _assemble(self, hist: np.ndarray, features: ShotFeatures) -> np.ndarray:
         moments = np.array(

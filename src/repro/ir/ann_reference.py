@@ -12,6 +12,11 @@ by the E19 benchmark gate:
   invents them: every returned distance equals the oracle's distance
   for that id, and recall@10 stays above the CI gate.
 
+:func:`reference_shot_vector` plays the same role for the vectorizer:
+the channel-plane shot pass must equal it bit for bit (pinned by
+``tests/shots/test_shot_features_differential.py`` and the E19
+vectorizer gate).
+
 Nothing here is on a production path — keep it boring.
 """
 
@@ -19,7 +24,9 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["brute_force_search", "recall_at_k", "replicate_vectors"]
+from repro.vision.histogram import color_histogram
+
+__all__ = ["brute_force_search", "recall_at_k", "reference_shot_vector", "replicate_vectors"]
 
 
 def brute_force_search(
@@ -49,6 +56,21 @@ def brute_force_search(
     ids = np.arange(n, dtype=np.int64)
     order = np.lexsort((ids, distances))[:k]
     return ids[order], distances[order]
+
+
+def reference_shot_vector(vectorizer, frames) -> np.ndarray:
+    """:meth:`ShotVectorizer.vector_from_frames` by the per-frame path.
+
+    Features from :meth:`ShotFeatureExtractor.extract_reference`, one
+    :func:`~repro.vision.histogram.color_histogram` per sampled frame,
+    and the vectorizer's own block layout: the oracle the channel-plane
+    shot pass must match bit for bit.
+    """
+    extractor = vectorizer.extractor
+    features = extractor.extract_reference(frames)
+    picks = [frames[i] for i in extractor.sample_indices(len(frames))]
+    hist = np.mean([color_histogram(f, bins=vectorizer.bins) for f in picks], axis=0)
+    return vectorizer._assemble(hist, features)
 
 
 def recall_at_k(got_ids, want_ids, k: int) -> float:

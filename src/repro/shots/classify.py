@@ -21,9 +21,15 @@ import numpy as np
 
 from repro.video.frames import VideoClip
 from repro.video.shots import ShotCategory
-from repro.vision.dominant import color_coverage, color_coverages, dominant_color, dominant_colors
+from repro.vision.color import channel_planes
+from repro.vision.dominant import (
+    color_coverage,
+    dominant_color,
+    plane_coverages,
+    plane_dominant_colors,
+)
 from repro.vision.skin import DEFAULT_SKIN_MODEL, SkinColorModel
-from repro.vision.stats import frame_statistics, frame_statistics_batch
+from repro.vision.stats import frame_statistics, plane_statistics
 
 __all__ = [
     "ShotFeatures",
@@ -89,9 +95,9 @@ class ShotFeatureExtractor:
         court_tolerance: Euclidean RGB distance counted as "court".
         skin_model: skin classifier shared with the close-up rule.
         samples: number of frames sampled per shot.
-        batched: run the vision kernels once over the stacked sampled
-            frames (the default) instead of per frame; the two paths
-            produce identical features.
+        batched: compute every feature from one channel-plane copy of
+            the sampled frames (the default) instead of per frame; the
+            two paths produce identical features.
     """
 
     def __init__(
@@ -122,29 +128,50 @@ class ShotFeatureExtractor:
         # Midpoints of `count` equal segments: avoids transition-adjacent frames.
         return [int((2 * k + 1) * n_frames / (2 * count)) for k in range(count)]
 
+    def sampled_frames(self, frames, start: int = 0, stop: int | None = None) -> list:
+        """The frames sampled from the shot ``frames[start:stop]``.
+
+        *frames* is a frame list, a clip or a stacked array; *stop*
+        defaults to its end.  Only the sampled frames are indexed.
+        Sampling the result again returns it unchanged.
+
+        Raises:
+            ValueError: unless ``0 <= start < stop <= len(frames)``.
+        """
+        stop = len(frames) if stop is None else stop
+        if not 0 <= start < stop <= len(frames):
+            raise ValueError(f"invalid shot range [{start}, {stop})")
+        return [frames[start + i] for i in self.sample_indices(stop - start)]
+
     def extract(self, frames: list[np.ndarray]) -> ShotFeatures:
         """Features of a shot given as its list of frames.
 
         With :attr:`batched` set (the default) the sampled frames are
-        stacked and each vision kernel makes one pass over the stack;
-        the per-frame values, and therefore the averaged features, are
+        copied once into channel planes and every feature is computed
+        from them (:meth:`features_from_planes`); the result is
         identical to :meth:`extract_reference`.
         """
         if not self.batched:
             return self.extract_reference(frames)
-        picks = [frames[i] for i in self.sample_indices(len(frames))]
-        stack = np.stack(picks)
-        court = np.mean(list(color_coverages(stack, self.court_color, self.court_tolerance)))
-        skin = np.mean(list(self.skin_model.ratios(stack)))
-        stats = frame_statistics_batch(stack)
-        dom_colors, dom_covers = zip(*dominant_colors(stack))
-        dominant = np.mean(np.stack(dom_colors), axis=0)
+        return self.features_from_planes(channel_planes(self.sampled_frames(frames)))
+
+    def features_from_planes(self, planes: np.ndarray) -> ShotFeatures:
+        """Features of a shot from the channel planes of its sampled frames.
+
+        *planes* is :func:`~repro.vision.color.channel_planes` of
+        :meth:`sampled_frames`; every helper reads the same copy.
+        """
+        court = np.mean(plane_coverages(planes, self.court_color, self.court_tolerance))
+        skin = np.mean(self.skin_model.plane_ratios(planes))
+        entropy, mean, variance = plane_statistics(planes)
+        dom_colors, dom_covers = plane_dominant_colors(planes)
+        dominant = np.mean(dom_colors, axis=0)
         return ShotFeatures(
             court_coverage=float(court),
             skin_ratio=float(skin),
-            entropy=float(np.mean([s["entropy"] for s in stats])),
-            mean=float(np.mean([s["mean"] for s in stats])),
-            variance=float(np.mean([s["variance"] for s in stats])),
+            entropy=float(np.mean(entropy)),
+            mean=float(np.mean(mean)),
+            variance=float(np.mean(variance)),
             dominant=(float(dominant[0]), float(dominant[1]), float(dominant[2])),
             dominant_coverage=float(np.mean(dom_covers)),
         )
@@ -169,9 +196,7 @@ class ShotFeatureExtractor:
 
     def extract_from_clip(self, clip: VideoClip, start: int, stop: int) -> ShotFeatures:
         """Features of the shot occupying ``clip[start:stop]``."""
-        if not 0 <= start < stop <= len(clip):
-            raise ValueError(f"invalid shot range [{start}, {stop})")
-        return self.extract([clip[i] for i in range(start, stop)])
+        return self.extract(self.sampled_frames(clip, start, stop))
 
 
 @dataclass

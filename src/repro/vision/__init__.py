@@ -19,7 +19,11 @@ rather than mutate their inputs.  Every per-frame operator on the
 pipeline's hot path also has a *batched* form (``color_histograms``,
 ``frame_statistics_batch``, ``SkinColorModel.masks`` …) that makes one
 pass over a stacked ``(N, H, W, 3)`` clip and produces exactly the
-per-frame values.
+per-frame values.  The shot-feature kernels share one block helper per
+computation (``plane_coverages``, ``SkinColorModel.plane_masks``,
+``plane_statistics``, ``plane_dominant_colors``, ``plane_color_histograms``)
+over the ``(3, N, H, W)`` int16 channel planes of
+:func:`~repro.vision.color.channel_planes`.
 """
 
 from repro.vision.color import (

@@ -19,6 +19,9 @@ __all__ = [
     "ensure_frames",
     "rgb_to_grey_frames",
     "rgb_to_hsv_frames",
+    "channel_planes",
+    "plane_blocks",
+    "planes_to_luma",
     "FRAME_BLOCK",
 ]
 
@@ -82,6 +85,20 @@ def rgb_to_grey(image: np.ndarray) -> np.ndarray:
     return np.clip(np.rint(grey), 0, 255).astype(np.uint8)
 
 
+def _rounded_luma(rgb: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Luma of float64 ``(..., H, W, 3)`` pixels, rounded and clipped, in float64.
+
+    Always one matmul over the frame's own ``(H, W, 3)`` layout, as
+    :func:`rgb_to_grey` does: an elementwise ``r*w0 + g*w1 + b*w2``
+    rounds 1340 of the 16.7M colours differently, and a matmul over the
+    pixels flattened into one row changes the float results of
+    one-pixel-wide frames.
+    """
+    luma = np.matmul(rgb, _LUMA_WEIGHTS, out=out)
+    np.rint(luma, out=luma)
+    return np.clip(luma, 0, 255, out=luma)
+
+
 def rgb_to_grey_frames(frames) -> np.ndarray:
     """Batched :func:`rgb_to_grey`: ``(N, H, W, 3)`` -> ``(N, H, W)`` uint8.
 
@@ -92,9 +109,56 @@ def rgb_to_grey_frames(frames) -> np.ndarray:
     rgb = ensure_frames(frames)
     out = np.empty(rgb.shape[:3], dtype=np.uint8)
     for s in range(0, rgb.shape[0], FRAME_BLOCK):
-        grey = rgb[s : s + FRAME_BLOCK].astype(np.float64) @ _LUMA_WEIGHTS
-        out[s : s + FRAME_BLOCK] = np.clip(np.rint(grey), 0, 255).astype(np.uint8)
+        out[s : s + FRAME_BLOCK] = _rounded_luma(rgb[s : s + FRAME_BLOCK].astype(np.float64))
     return out
+
+
+def channel_planes(frames) -> np.ndarray:
+    """One contiguous ``(3, N, H, W)`` int16 copy of ``N`` RGB frames.
+
+    The block helpers behind the batched kernels and the shot feature
+    pass all read these planes: each channel of each frame is one
+    contiguous ``H*W`` row, and int16 holds the skin rule's channel
+    differences without overflow.  The frame shape is kept because luma
+    must go through the per-frame matmul layout (see :func:`_rounded_luma`).
+    *frames* is a non-empty sequence of equally shaped uint8 RGB frames,
+    or an ``(N, H, W, 3)`` uint8 array.
+
+    Raises:
+        ValueError: if a frame is not an ``(H, W, 3)`` uint8 image.
+    """
+    first = ensure_rgb(frames[0])
+    planes = np.empty((3, len(frames), *first.shape[:2]), dtype=np.int16)
+    for j in range(len(frames)):
+        frame = ensure_rgb(frames[j])
+        if frame.dtype != np.uint8:
+            raise ValueError(f"expected uint8 RGB frames, got {frame.dtype}")
+        planes[:, j] = np.moveaxis(frame, -1, 0)
+    return planes
+
+
+def plane_blocks(frames):
+    """Yield ``(start, planes)`` for each :data:`FRAME_BLOCK`-frame block.
+
+    *frames* must already be an ``(N, H, W, 3)`` array (see
+    :func:`ensure_frames`); *planes* is :func:`channel_planes` of the
+    block that starts at frame *start*.
+    """
+    for s in range(0, frames.shape[0], FRAME_BLOCK):
+        yield s, channel_planes(frames[s : s + FRAME_BLOCK])
+
+
+def planes_to_luma(planes: np.ndarray) -> np.ndarray:
+    """Rounded luma of ``(3, N, H, W)`` channel planes as ``(N, H, W)`` float64.
+
+    Frame *j* holds exactly the values of ``rgb_to_grey(frame_j)``: the
+    planes are put back in pixel order and go through the single-frame
+    matmul of :func:`rgb_to_grey`, batched over the frames.
+    """
+    rgb = np.empty((*planes.shape[1:], 3), dtype=np.float64)
+    for c in range(3):
+        rgb[..., c] = planes[c]
+    return _rounded_luma(rgb)
 
 
 def _hsv_from_rgb_array(rgb: np.ndarray) -> np.ndarray:

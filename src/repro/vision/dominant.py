@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.vision.color import FRAME_BLOCK, ensure_frames, ensure_rgb
+from repro.vision.color import ensure_frames, ensure_rgb, plane_blocks
+from repro.vision.histogram import _cell_counts, plane_cells
 
 __all__ = [
     "dominant_color",
@@ -19,6 +20,8 @@ __all__ = [
     "color_coverage",
     "color_coverages",
     "color_distance",
+    "plane_coverages",
+    "plane_dominant_colors",
 ]
 
 
@@ -49,45 +52,40 @@ def dominant_color(image: np.ndarray, bins: int = 16) -> tuple[np.ndarray, float
 def dominant_colors(frames, bins: int = 16) -> list[tuple[np.ndarray, float]]:
     """Batched :func:`dominant_color` over a whole clip.
 
-    Quantisation is vectorised over cache-sized frame blocks; per frame,
-    the winning cell and its channel sums come from plain and weighted
-    bincounts.  All of it is integer counting (exact in float64), so
+    Runs :func:`plane_dominant_colors` over cache-sized frame blocks, so
     each ``(color, coverage)`` pair matches the single-frame function
     exactly.
     """
-    rgb = ensure_frames(frames)
-    n = rgb.shape[0]
-    n_cells = bins**3
     out: list[tuple[np.ndarray, float]] = []
-    for s in range(0, n, FRAME_BLOCK):
-        part = rgb[s : s + FRAME_BLOCK]
-        quant = (part.astype(np.uint32) * bins) >> 8
-        codes = (quant[..., 0] * bins + quant[..., 1]) * bins + quant[..., 2]
-        flat = codes.reshape(codes.shape[0], -1)
-        pixels = part.reshape(part.shape[0], -1, 3)
-        for j in range(flat.shape[0]):
-            counts = np.bincount(flat[j], minlength=n_cells)
-            winner = int(counts.argmax())
-            win_count = int(counts[winner])
-            frame_size = flat.shape[1]
-            if win_count:
-                sums = np.array(
-                    [
-                        np.bincount(
-                            flat[j],
-                            weights=pixels[j, :, c].astype(np.float64),
-                            minlength=n_cells,
-                        )[winner]
-                        for c in range(3)
-                    ]
-                )
-                color = sums / float(win_count)
-                coverage = float(win_count) / float(frame_size)
-            else:
-                color = np.zeros(3)
-                coverage = 0.0
-            out.append((color.astype(np.float64), coverage))
+    for _, planes in plane_blocks(ensure_frames(frames)):
+        colors, coverages = plane_dominant_colors(planes, bins)
+        out.extend((color, float(coverage)) for color, coverage in zip(colors, coverages))
     return out
+
+
+def plane_dominant_colors(planes: np.ndarray, bins: int = 16) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`dominant_color` of each frame of ``(3, N, H, W)`` channel planes.
+
+    One bincount of the block's :func:`~repro.vision.histogram.plane_cells`
+    finds every frame's winning cell; its colour is the integer channel
+    sums of the member pixels over their count.  Integer sums and counts
+    are exact in float64, so each row equals the single-frame result.
+
+    Returns:
+        ``(colors, coverages)``: ``(N, 3)`` and ``(N,)`` float64 arrays.
+    """
+    n = planes.shape[1]
+    flat = planes.reshape(3, n, -1)
+    codes = plane_cells(planes, bins)
+    counts = _cell_counts(codes, bins**3)
+    winners = counts.argmax(axis=1)
+    wins = counts[np.arange(n), winners]
+    # _cell_counts offset frame j's codes by j * bins**3; offset its winner alike.
+    member = codes == (winners + np.arange(n) * bins**3)[:, np.newaxis]
+    sums = np.ascontiguousarray((flat * member).sum(axis=2).T)
+    # A frame without pixels has no winner: colour and coverage stay 0.
+    colors = sums / np.maximum(wins, 1)[:, np.newaxis]
+    return colors, wins / float(max(flat.shape[2], 1))
 
 
 def color_distance(c1: np.ndarray, c2: np.ndarray) -> float:
@@ -115,22 +113,32 @@ def color_coverage(
 def color_coverages(frames, color: np.ndarray, tolerance: float = 40.0) -> np.ndarray:
     """Batched :func:`color_coverage` over a whole clip -> ``(N,)`` float64.
 
-    Runs in cache-sized frame blocks with the squared distance expanded
-    per channel (``d0*d0 + d1*d1 + d2*d2`` — the same left-to-right sum
-    as the channel-axis reduction, minus its overhead).  Per-frame means
-    are exact integer counts over the frame size, so each entry equals
-    the single-frame function bit for bit.
+    Runs :func:`plane_coverages` over cache-sized frame blocks, so each
+    entry equals the single-frame function bit for bit.
     """
     frames = ensure_frames(frames)
-    n = frames.shape[0]
-    ref = np.asarray(color, dtype=np.float64).reshape(3)
-    out = np.empty(n, dtype=np.float64)
-    for s in range(0, n, FRAME_BLOCK):
-        rgb = frames[s : s + FRAME_BLOCK].astype(np.float64)
-        d0 = rgb[..., 0] - ref[0]
-        d1 = rgb[..., 1] - ref[1]
-        d2 = rgb[..., 2] - ref[2]
-        dist = np.sqrt(d0 * d0 + d1 * d1 + d2 * d2)
-        within = dist <= tolerance
-        out[s : s + FRAME_BLOCK] = within.reshape(within.shape[0], -1).mean(axis=1)
+    out = np.empty(frames.shape[0], dtype=np.float64)
+    for s, planes in plane_blocks(frames):
+        out[s : s + planes.shape[1]] = plane_coverages(planes, color, tolerance)
     return out
+
+
+def plane_coverages(planes: np.ndarray, color: np.ndarray, tolerance: float = 40.0) -> np.ndarray:
+    """:func:`color_coverage` of each frame of ``(3, N, H, W)`` channel planes.
+
+    Each channel's squared difference ``(v - c) ** 2`` is looked up in a
+    256-entry float64 table built with the arithmetic path's own
+    operations, and the three are summed left to right as that path's
+    channel sum adds them, then square-rooted and compared.  The result
+    is the same bits for any court colour, integral or not; a frame's
+    coverage is an integer count over its pixel count.
+    """
+    ref = np.asarray(color, dtype=np.float64).reshape(3)
+    tables = (np.arange(256, dtype=np.float64) - ref[:, np.newaxis]) ** 2
+    n = planes.shape[1]
+    flat = planes.reshape(3, n, -1)
+    squared = np.take(tables[0], flat[0])
+    squared += np.take(tables[1], flat[1])
+    squared += np.take(tables[2], flat[2])
+    within = np.sqrt(squared, out=squared) <= tolerance
+    return np.count_nonzero(within, axis=1) / float(flat.shape[2])

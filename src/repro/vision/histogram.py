@@ -25,6 +25,8 @@ __all__ = [
     "hsv_histograms",
     "grey_histogram",
     "grey_histograms",
+    "plane_cells",
+    "plane_color_histograms",
     "histogram_difference",
     "histogram_intersection",
     "chi_square_distance",
@@ -49,6 +51,59 @@ def _normalize_rows(hists: np.ndarray, normalize: bool) -> np.ndarray:
         positive = totals > 0
         hists[positive] /= totals[positive, np.newaxis]
     return hists
+
+
+def _quantize(values: np.ndarray, bins: int, n_codes: int) -> np.ndarray:
+    """``(v * bins) >> 8`` of 0..255 values, in the narrowest signed integer
+    type that holds ``255 * bins`` and codes up to *n_codes*."""
+    quant = np.multiply(values, bins, dtype=np.min_scalar_type(-max(255 * bins, n_codes)))
+    quant >>= 8
+    return quant
+
+
+def plane_cells(planes: np.ndarray, bins: int) -> np.ndarray:
+    """Joint colour cell of every pixel of ``(3, N, H, W)`` channel planes.
+
+    Each channel is quantised as :func:`color_histogram` quantises it,
+    and the three levels combine into ``(q0 * bins + q1) * bins + q2``.
+
+    Returns:
+        ``(N, H*W)`` integer array of cell codes in ``0 .. bins**3 - 1``,
+        of a type that holds the codes of all ``N`` frames offset by
+        :func:`_cell_counts`.
+    """
+    n = planes.shape[1]
+    quant = _quantize(planes.reshape(3, n, -1), bins, n * bins**3)
+    codes = quant[0]
+    codes *= bins
+    codes += quant[1]
+    codes *= bins
+    codes += quant[2]
+    return codes
+
+
+def _cell_counts(codes: np.ndarray, n_cells: int) -> np.ndarray:
+    """Per-frame counts ``(N, n_cells)`` of ``(N, P)`` codes in ``0 .. n_cells - 1``.
+
+    Offsets row *j* of *codes* by ``j * n_cells`` in place, so one
+    bincount counts every frame of the block.
+    """
+    n = codes.shape[0]
+    codes += np.arange(0, n * n_cells, n_cells, dtype=codes.dtype)[:, np.newaxis]
+    return np.bincount(codes.ravel(), minlength=n * n_cells).reshape(n, n_cells)
+
+
+def plane_color_histograms(planes: np.ndarray, bins: int) -> np.ndarray:
+    """Normalised joint RGB histograms of ``(3, N, H, W)`` channel planes.
+
+    Row *j* equals ``color_histogram(frame_j, bins)`` bit for bit: the
+    same quantiser, integer counts, and one division by the frame's
+    pixel count.
+    """
+    if not 2 <= bins <= 256:
+        raise ValueError(f"bins must be in 2..256, got {bins}")
+    counts = _cell_counts(plane_cells(planes, bins), bins**3)
+    return _normalize_rows(counts.astype(np.float64), True)
 
 
 def color_histogram(image: np.ndarray, bins: int = 8, normalize: bool = True) -> np.ndarray:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.vision.color import FRAME_BLOCK, ensure_frames, ensure_rgb
+from repro.vision.color import ensure_frames, ensure_rgb, plane_blocks
 
 __all__ = ["SkinColorModel", "skin_ratio", "DEFAULT_SKIN_MODEL"]
 
@@ -62,29 +62,14 @@ class SkinColorModel:
     def masks(self, frames) -> np.ndarray:
         """Boolean skin masks for a whole clip, ``(N, H, W)``.
 
-        Batched form of :meth:`mask`: the rule chain runs over
-        cache-sized frame blocks with per-channel slice arithmetic —
-        ``maximum(maximum(r, g), b)`` instead of a reduction over the
-        3-wide channel axis, which NumPy handles an order of magnitude
-        slower.  Integer comparisons are exact, so ``masks(c)[i]``
-        equals ``mask(c[i])`` bit for bit.
+        Batched form of :meth:`mask`: :meth:`plane_masks` over
+        cache-sized frame blocks, so ``masks(c)[i]`` equals
+        ``mask(c[i])`` bit for bit.
         """
         frames = ensure_frames(frames)
         out = np.empty(frames.shape[:3], dtype=bool)
-        for s in range(0, frames.shape[0], FRAME_BLOCK):
-            rgb = frames[s : s + FRAME_BLOCK].astype(np.int16)
-            r, g, b = rgb[..., 0], rgb[..., 1], rgb[..., 2]
-            maxc = np.maximum(np.maximum(r, g), b)
-            minc = np.minimum(np.minimum(r, g), b)
-            out[s : s + FRAME_BLOCK] = (
-                (r > self.r_min)
-                & (g > self.g_min)
-                & (b > self.b_min)
-                & ((maxc - minc) > self.spread_min)
-                & (np.abs(r - g) > self.rg_gap_min)
-                & (r > g)
-                & (r > b)
-            )
+        for s, planes in plane_blocks(frames):
+            out[s : s + planes.shape[1]] = self.plane_masks(planes)
         return out
 
     def ratios(self, frames) -> np.ndarray:
@@ -94,10 +79,39 @@ class SkinColorModel:
         — exact in float64 — so each entry equals :meth:`ratio` on that
         frame.
         """
-        masks = self.masks(frames)
-        if masks.size == 0:
-            return np.zeros(masks.shape[0], dtype=np.float64)
-        return masks.reshape(masks.shape[0], -1).mean(axis=1)
+        return _fractions(self.masks(frames))
+
+    def plane_masks(self, planes: np.ndarray) -> np.ndarray:
+        """Skin masks ``(N, H, W)`` of ``(3, N, H, W)`` int16 channel planes.
+
+        The rule chain of :meth:`mask` with per-channel plane arithmetic
+        — ``maximum(maximum(r, g), b)`` instead of a reduction over the
+        3-wide channel axis, which NumPy handles an order of magnitude
+        slower.  Integer comparisons are exact.
+        """
+        r, g, b = planes
+        maxc = np.maximum(np.maximum(r, g), b)
+        minc = np.minimum(np.minimum(r, g), b)
+        return (
+            (r > self.r_min)
+            & (g > self.g_min)
+            & (b > self.b_min)
+            & ((maxc - minc) > self.spread_min)
+            & (np.abs(r - g) > self.rg_gap_min)
+            & (r > g)
+            & (r > b)
+        )
+
+    def plane_ratios(self, planes: np.ndarray) -> np.ndarray:
+        """:meth:`ratio` of each frame of ``(3, N, H, W)`` channel planes."""
+        return _fractions(self.plane_masks(planes))
+
+
+def _fractions(masks: np.ndarray) -> np.ndarray:
+    """Per-frame true fraction of ``(N, H, W)`` masks (0 for empty frames)."""
+    if masks.size == 0:
+        return np.zeros(masks.shape[0], dtype=np.float64)
+    return np.count_nonzero(masks.reshape(masks.shape[0], -1), axis=1) / float(masks[0].size)
 
 
 #: Default model; also the model the synthetic close-up renderer targets.

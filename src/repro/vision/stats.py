@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.vision.color import ensure_frames, rgb_to_grey, rgb_to_grey_frames
-from repro.vision.histogram import grey_histogram, grey_histograms
+from repro.vision.color import ensure_frames, plane_blocks, planes_to_luma, rgb_to_grey
+from repro.vision.histogram import _cell_counts, _normalize_rows, _quantize, grey_histogram
 
 __all__ = [
     "frame_entropy",
@@ -18,6 +18,7 @@ __all__ = [
     "frame_variance",
     "frame_statistics",
     "frame_statistics_batch",
+    "plane_statistics",
 ]
 
 
@@ -70,24 +71,43 @@ def frame_statistics(image: np.ndarray, bins: int = 64) -> dict[str, float]:
 def frame_statistics_batch(frames, bins: int = 64) -> list[dict[str, float]]:
     """Batched :func:`frame_statistics` over a whole clip.
 
-    The expensive passes — luma conversion and intensity histograms — run
-    once over the stacked ``(N, H, W, 3)`` array; entropy, mean and
-    variance then reduce each frame's row/plane with the same operations
-    as the single-frame function, so every value matches it exactly.
+    Runs :func:`plane_statistics` over cache-sized frame blocks, so every
+    value matches the single-frame function exactly.
     """
-    arr = ensure_frames(frames)
-    greys = rgb_to_grey_frames(arr)
-    hists = grey_histograms(greys, bins=bins, normalize=True)
     out: list[dict[str, float]] = []
-    for i in range(arr.shape[0]):
-        positive = hists[i][hists[i] > 0]
-        entropy = float(-(positive * np.log2(positive)).sum()) if positive.size else 0.0
-        as_float = greys[i].astype(np.float64)
-        out.append(
-            {
-                "entropy": entropy,
-                "mean": float(as_float.mean()),
-                "variance": float(as_float.var()),
-            }
-        )
+    for _, planes in plane_blocks(ensure_frames(frames)):
+        for entropy, mean, variance in zip(*plane_statistics(planes, bins)):
+            out.append(
+                {"entropy": float(entropy), "mean": float(mean), "variance": float(variance)}
+            )
     return out
+
+
+def plane_statistics(
+    planes: np.ndarray, bins: int = 64
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`frame_statistics` of each frame of ``(3, N, H, W)`` channel planes.
+
+    Luma goes through the single-frame matmul (see
+    :func:`~repro.vision.color.planes_to_luma`); the intensity histograms
+    of all frames come from one offset bincount.  Entropy, mean and
+    variance then reduce each frame's row with the single-frame
+    operations, so every value matches :func:`frame_statistics`.
+
+    Returns:
+        ``(entropy, mean, variance)``, each an ``(N,)`` float64 array.
+    """
+    if not 2 <= bins <= 256:
+        raise ValueError(f"bins must be in 2..256, got {bins}")
+    n = planes.shape[1]
+    # Rounded luma: the grey levels themselves, already in float64.
+    as_float = planes_to_luma(planes).reshape(n, -1)
+    counts = _cell_counts(_quantize(as_float.astype(np.uint8), bins, n * bins), bins)
+    hists = _normalize_rows(counts.astype(np.float64), True)
+    entropy = np.zeros(n)
+    for j, hist in enumerate(hists):
+        # Summed per frame: a segmented sum would group the terms differently.
+        positive = hist[hist > 0]
+        if positive.size:
+            entropy[j] = -(positive * np.log2(positive)).sum()
+    return entropy, as_float.mean(axis=1), as_float.var(axis=1)

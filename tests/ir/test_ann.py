@@ -18,6 +18,7 @@ from repro.ir.ann import (
     load_ann_from_catalog,
 )
 from repro.storage.catalog import Catalog
+from repro.video.frames import VideoClip
 
 
 def normalized(rows: np.ndarray) -> np.ndarray:
@@ -154,6 +155,18 @@ class TestShotVectorizer:
         vector = vectorizer.vector_from_frames(frames)
         assert vector.shape == (vectorizer.dim,)
         assert np.sqrt((vector * vector).sum()) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("start, stop", [(-4, None), (0, 7), (3, 3), (4, 2)])
+    def test_vectorize_clip_rejects_invalid_ranges(self, make_rng, start, stop):
+        frames = list(make_rng(0).integers(0, 256, size=(6, 8, 8, 3), dtype=np.uint8))
+        with pytest.raises(ValueError, match="invalid shot range"):
+            ShotVectorizer().vectorize_clip(VideoClip(frames), start, stop)
+
+    def test_vectorize_clip_equals_vector_of_its_frames(self, make_rng):
+        frames = list(make_rng(1).integers(0, 256, size=(9, 8, 8, 3), dtype=np.uint8))
+        vectorizer = ShotVectorizer()
+        got = vectorizer.vectorize_clip(VideoClip(frames), 2, 8)
+        assert np.array_equal(got, vectorizer.vector_from_frames(frames[2:8]))
 
     def test_schema_version_is_pinned(self):
         assert FEATURE_SCHEMA_VERSION == 1

@@ -77,6 +77,16 @@ class TestExtractor:
         with pytest.raises(ValueError):
             extractor.extract_from_clip(clip, 10, 5)
 
+    @pytest.mark.parametrize(
+        "shot_range",
+        [lambda n: (-4, 5), lambda n: (0, n + 1), lambda n: (3, 3)],
+        ids=["negative-start", "stop-past-end", "empty"],
+    )
+    def test_extract_from_clip_rejects_out_of_clip_ranges(self, broadcast, shot_range):
+        clip, _ = broadcast
+        with pytest.raises(ValueError, match="invalid shot range"):
+            ShotFeatureExtractor().extract_from_clip(clip, *shot_range(len(clip)))
+
 
 class TestRuleBasedClassifier:
     def test_priority_order(self):
