@@ -31,6 +31,7 @@ from repro.library.query import LibraryQuery
 from repro.library.results import SceneResult, fuse_scores
 from repro.library.service import QueryTrace
 from repro.webspace.instances import WebspaceObject
+from repro.webspace.views import PathView
 
 __all__ = ["DigitalLibraryEngine"]
 
@@ -60,6 +61,10 @@ class DigitalLibraryEngine:
         self.text_index = InvertedIndex(dataset.pages)
         self.fragmented_index = FragmentedIndex(self.text_index, n_fragments=n_fragments)
         self._text_generation = 0
+        #: Player -> Match -> Video bindings the concept part resolves
+        #: through; refreshed by the first search after the webspace
+        #: changes.
+        self._player_videos = PathView(dataset.instance, "Player", ["played", "recorded_in"])
         #: Query-by-example state: the IVF index over shot feature
         #: vectors, its per-ann-id provenance rows, and the vectorizer
         #: that embeds query clips.  Built by :meth:`build_ann_index`
@@ -160,12 +165,13 @@ class DigitalLibraryEngine:
 
     def videos_of_players(self, players: list[WebspaceObject]) -> dict[str, set[str]]:
         """video name -> names of the given players appearing in it."""
-        instance = self.dataset.instance
+        view = self._player_videos
+        if view.stale:
+            view.refresh()
         out: dict[str, set[str]] = {}
         for player in players:
-            for match in instance.follow("played", player):
-                for video in instance.follow("recorded_in", match):
-                    out.setdefault(video.get("name"), set()).add(player.get("name"))
+            for video in view.leaves_for(player):
+                out.setdefault(video.get("name"), set()).add(player.get("name"))
         return out
 
     def text_scores(

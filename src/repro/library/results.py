@@ -16,7 +16,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SceneResult:
     """One answer scene: a frame range of a video, with provenance.
 

@@ -48,7 +48,6 @@ concept-only fallback evaluation).
 
 from __future__ import annotations
 
-import json
 import threading
 import time
 from collections import OrderedDict, deque
@@ -91,18 +90,23 @@ def canonical_query_key(query: LibraryQuery) -> str:
     """A canonical serialization of *query* — the cache key.
 
     Semantically identical queries map to the same key: the player
-    constraints are sorted, and ``within`` (which only matters for
-    sequence queries) is normalised away when no sequence part exists.
+    constraints are sorted, a sequence given as a list keys like the
+    same tuple, and ``within`` (which only matters for sequence
+    queries) is normalised away when no sequence part exists.  Values
+    keep their type, so ``True`` and ``1`` key apart.
     """
-    payload = {
-        "player": {key: query.player[key] for key in sorted(query.player)},
-        "event": query.event,
-        "sequence": list(query.sequence) if query.sequence is not None else None,
-        "within": query.within if query.sequence is not None else None,
-        "text": query.text,
-        "top_n": query.top_n,
-    }
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    player = query.player
+    sequence = query.sequence
+    return repr(
+        (
+            sorted(player.items()) if player else None,
+            query.event,
+            None if sequence is None else tuple(sequence),
+            None if sequence is None else query.within,
+            query.text,
+            query.top_n,
+        )
+    )
 
 
 class QueryTrace:
@@ -135,8 +139,9 @@ class ServedQuery:
         generation: the index generation the results are valid for.
         cache_hit: whether the cache answered.
         seconds: service-side wall time for this request.
-        trace: the evaluation trace (a synthetic ``cache`` stage on
-            cache hits).
+        trace: the evaluation trace (``None`` on cache hits, whose
+            time the service's stats book to the synthetic ``cache``
+            stage).
         stale: the results come from the *previous* generation's cache
             (degradation-ladder rung 1); ``generation`` is the older
             generation they are valid for.
@@ -324,24 +329,9 @@ class _ReadWriteLock:
         self._writer_active = False
         self._writers_waiting = 0
 
-    @contextmanager
-    def read(self, timeout: float | None = None):
-        with self._cond:
-            acquired = self._cond.wait_for(
-                lambda: not (self._writer_active or self._writers_waiting), timeout
-            )
-            if not acquired:
-                raise LockTimeout(
-                    f"read lock not acquired within {timeout * 1e3:.0f} ms"
-                )
-            self._readers += 1
-        try:
-            yield
-        finally:
-            with self._cond:
-                self._readers -= 1
-                if self._readers == 0:
-                    self._cond.notify_all()
+    def read(self, timeout: float | None = None) -> _ReadHold:
+        """Hold the read side for a ``with`` block."""
+        return _ReadHold(self, timeout)
 
     @contextmanager
     def write(self, timeout: float | None = None):
@@ -370,6 +360,37 @@ class _ReadWriteLock:
             with self._cond:
                 self._writer_active = False
                 self._cond.notify_all()
+
+
+class _ReadHold:
+    """One read-side hold of a :class:`_ReadWriteLock` (``with`` block)."""
+
+    __slots__ = ("_lock", "_timeout")
+
+    def __init__(self, lock: _ReadWriteLock, timeout: float | None) -> None:
+        self._lock = lock
+        self._timeout = timeout
+
+    def __enter__(self) -> None:
+        lock = self._lock
+        with lock._cond:
+            if (lock._writer_active or lock._writers_waiting) and not lock._cond.wait_for(
+                lambda: not (lock._writer_active or lock._writers_waiting), self._timeout
+            ):
+                raise LockTimeout(
+                    f"read lock not acquired within {self._timeout * 1e3:.0f} ms"
+                )
+            lock._readers += 1
+
+    def __exit__(self, *exc_info) -> None:
+        lock = self._lock
+        with lock._cond:
+            lock._readers -= 1
+            # Readers wait only while a writer is active or waiting, so
+            # the last reader out has someone to wake only if a writer
+            # waits.
+            if lock._readers == 0 and lock._writers_waiting:
+                lock._cond.notify_all()
 
 
 class AdmissionController:
@@ -817,15 +838,12 @@ class LibrarySearchService:
         stale: bool = False,
     ) -> ServedQuery:
         seconds = time.perf_counter() - started
-        trace = QueryTrace()
-        trace.stage_seconds["cache"] = seconds
-        self._record(hit=True, seconds=seconds, trace=trace, stale=stale)
+        self._record(hit=True, seconds=seconds, stale=stale)
         return ServedQuery(
             results=list(cached),
             generation=generation,
             cache_hit=True,
             seconds=seconds,
-            trace=trace,
             stale=stale,
         )
 
@@ -977,6 +995,9 @@ class LibrarySearchService:
                 self._hits += 1
                 self._hit_seconds += seconds
                 self._hit_reservoir.add(seconds)
+                # The synthetic ``cache`` stage: per-stage time sums to
+                # total serving time.
+                self._stage_seconds["cache"] = self._stage_seconds.get("cache", 0.0) + seconds
             else:
                 self._misses += 1
                 self._miss_seconds += seconds

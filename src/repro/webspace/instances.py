@@ -1,7 +1,15 @@
-"""The webspace object graph: typed objects + association links."""
+"""The webspace object graph: typed objects + association links.
+
+Navigation in both directions is a lookup: ``link`` keeps the forward
+adjacency and an inverse adjacency current, and bumps the instance's
+monotone :attr:`WebspaceInstance.version`, which materialised views
+(:class:`~repro.webspace.views.PathView`) compare to tell when they
+are stale.
+"""
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass, field
 
 from repro.webspace.schema import SchemaViolation, WebspaceSchema
@@ -30,15 +38,26 @@ class WebspaceObject:
 
 
 class WebspaceInstance:
-    """Objects and links conforming to a :class:`WebspaceSchema`."""
+    """Objects and links conforming to a :class:`WebspaceSchema`.
+
+    Attributes:
+        version: bumped by every ``create`` and by every ``link`` that
+            adds a link; unchanged by a duplicate link.
+    """
 
     def __init__(self, schema: WebspaceSchema):
         self.schema = schema
         self._objects: dict[int, WebspaceObject] = {}
         self._by_class: dict[str, list[int]] = {}
-        # association name -> source oid -> [target oids]
+        # association name -> source oid -> [target oids]; a source's
+        # position in the inner dict is the rank of its first link.
         self._links: dict[str, dict[int, list[int]]] = {}
+        # association name -> source oid -> that rank
+        self._ranks: dict[str, dict[int, int]] = {}
+        # association name -> target oid -> [source oids], by rank
+        self._inverse: dict[str, dict[int, list[int]]] = {}
         self._next_oid = 1
+        self.version = 0
 
     # -- population --------------------------------------------------------#
 
@@ -63,6 +82,7 @@ class WebspaceInstance:
         self._next_oid += 1
         self._objects[obj.oid] = obj
         self._by_class.setdefault(class_name, []).append(obj.oid)
+        self.version += 1
         return obj
 
     def link(self, association: str, source: WebspaceObject, target: WebspaceObject) -> None:
@@ -78,13 +98,28 @@ class WebspaceInstance:
                 f"association {association!r} ends at {assoc.target!r}, "
                 f"not {target.class_name!r}"
             )
-        targets = self._links.setdefault(association, {}).setdefault(source.oid, [])
-        if not assoc.to_many and targets:
+        by_source = self._links.setdefault(association, {})
+        targets = by_source.get(source.oid)
+        if targets is None:
+            targets = by_source[source.oid] = []
+            ranks = self._ranks.setdefault(association, {})
+            ranks[source.oid] = len(ranks)
+        elif not assoc.to_many:
             raise SchemaViolation(
                 f"association {association!r} is to-one and {source.oid} is already linked"
             )
-        if target.oid not in targets:
-            targets.append(target.oid)
+        if target.oid in targets:
+            return
+        targets.append(target.oid)
+        ranks = self._ranks[association]
+        sources = self._inverse.setdefault(association, {}).setdefault(target.oid, [])
+        if sources and ranks[sources[-1]] > ranks[source.oid]:
+            # The source was first linked before a source already
+            # listed: keep the list in first-link order.
+            insort(sources, source.oid, key=ranks.__getitem__)
+        else:
+            sources.append(source.oid)
+        self.version += 1
 
     # -- navigation ----------------------------------------------------------#
 
@@ -103,13 +138,14 @@ class WebspaceInstance:
         return [self._objects[oid] for oid in oids]
 
     def sources_of(self, association: str, target: WebspaceObject) -> list[WebspaceObject]:
-        """Inverse navigation: objects linking *to* target."""
+        """Inverse navigation: objects linking *to* target.
+
+        Sources come in the order of their first link along the
+        association, whichever target that link went to.
+        """
         self.schema.association(association)
-        out = []
-        for source_oid, targets in self._links.get(association, {}).items():
-            if target.oid in targets:
-                out.append(self._objects[source_oid])
-        return out
+        oids = self._inverse.get(association, {}).get(target.oid, [])
+        return [self._objects[oid] for oid in oids]
 
     def counts(self) -> dict[str, int]:
         return {name: len(oids) for name, oids in sorted(self._by_class.items())}

@@ -3,7 +3,11 @@
 The webspace engine materialises frequently-navigated association paths
 (e.g. Player -> Match -> Video) into flat binding tables, so conceptual
 queries over long paths do not re-walk the object graph.  Views are
-rebuilt explicitly; staleness is tracked by instance object count.
+rebuilt explicitly; a view is stale exactly when the instance's
+``version`` has moved since its last refresh.  A refresh builds the
+rows and the per-root index aside and publishes them with one
+assignment, so a concurrent reader sees either the old view or the new
+one, never half of one.
 """
 
 from __future__ import annotations
@@ -28,8 +32,8 @@ class PathView:
         self.root_class = root_class
         self.path = list(path)
         self._validate()
-        self._rows: list[tuple[WebspaceObject, ...]] = []
-        self._built_at = -1
+        # (instance version, rows, root oid -> distinct leaves)
+        self._built: tuple[int, list, dict] = (-1, [], {})
         self.refresh()
 
     def _validate(self) -> None:
@@ -47,6 +51,7 @@ class PathView:
 
     def refresh(self) -> None:
         """Rebuild the view from the current instance contents."""
+        version = self.instance.version
         rows: list[tuple[WebspaceObject, ...]] = [
             (obj,) for obj in self.instance.objects(self.root_class)
         ]
@@ -56,22 +61,26 @@ class PathView:
                 for row in rows
                 for target in self.instance.follow(name, row[-1])
             ]
-        self._rows = rows
-        self._built_at = sum(self.instance.counts().values())
+        leaves: dict[int, dict[int, WebspaceObject]] = {}
+        for row in rows:
+            leaves.setdefault(row[0].oid, {}).setdefault(row[-1].oid, row[-1])
+        self._built = (
+            version, rows, {oid: list(seen.values()) for oid, seen in leaves.items()}
+        )
 
     @property
     def stale(self) -> bool:
-        """True when objects were added since the last refresh."""
-        return sum(self.instance.counts().values()) != self._built_at
+        """True when the instance changed since the last refresh."""
+        return self.instance.version != self._built[0]
 
     def rows(self) -> list[tuple[WebspaceObject, ...]]:
         """The binding tuples (root, ..., leaf)."""
-        return list(self._rows)
+        return list(self._built[1])
 
     def select(self, **root_equals) -> list[tuple[WebspaceObject, ...]]:
         """Rows whose root object matches the attribute equalities."""
         out = []
-        for row in self._rows:
+        for row in self._built[1]:
             root = row[0]
             if all(root.get(k) == v for k, v in root_equals.items()):
                 out.append(row)
@@ -79,8 +88,4 @@ class PathView:
 
     def leaves_for(self, root: WebspaceObject) -> list[WebspaceObject]:
         """Distinct leaf objects reachable from *root* along the path."""
-        seen: dict[int, WebspaceObject] = {}
-        for row in self._rows:
-            if row[0].oid == root.oid:
-                seen.setdefault(row[-1].oid, row[-1])
-        return list(seen.values())
+        return list(self._built[2].get(root.oid, ()))

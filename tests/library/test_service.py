@@ -1,6 +1,10 @@
 """Query-serving layer tests: cache keys, generations, stats, isolation."""
 
+import json
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.dataset import build_australian_open
 from repro.library import (
@@ -52,6 +56,81 @@ class TestCanonicalKey:
         ]
         keys = {canonical_query_key(q) for q in queries}
         assert len(keys) == len(queries)
+
+
+def json_query_key(query: LibraryQuery) -> str:
+    """The cache key as a JSON document: the oracle whose equivalence
+    classes ``canonical_query_key`` must reproduce."""
+    payload = {
+        "player": {key: query.player[key] for key in sorted(query.player)},
+        "event": query.event,
+        "sequence": list(query.sequence) if query.sequence is not None else None,
+        "within": query.within if query.sequence is not None else None,
+        "text": query.text,
+        "top_n": query.top_n,
+    }
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+_LABELS = st.sampled_from(("rally", "service", "net_play"))
+
+
+@st.composite
+def _key_queries(draw) -> LibraryQuery:
+    sequence = draw(
+        st.one_of(
+            st.none(),
+            st.tuples(_LABELS, _LABELS),
+            st.lists(_LABELS, min_size=2, max_size=2),
+        )
+    )
+    return LibraryQuery(
+        player=draw(
+            st.dictionaries(
+                st.sampled_from(("gender", "handedness", "past_winner", "name")),
+                st.sampled_from(("left", "female", "Ünal Çelik", True, False, 1, 0, 1.0)),
+                max_size=3,
+            )
+        ),
+        event=None if sequence is not None else draw(st.one_of(st.none(), _LABELS)),
+        sequence=sequence,
+        within=draw(st.sampled_from((0, 50, 100))),
+        text=draw(st.sampled_from((None, "", "approach the net", "volée à Melbourne", "網前"))),
+        top_n=draw(st.sampled_from((1, 20, 100))),
+    )
+
+
+def _partition(key, queries) -> list[int]:
+    """Class label per query, numbered by first appearance."""
+    classes: dict[str, int] = {}
+    return [classes.setdefault(key(query), len(classes)) for query in queries]
+
+
+class TestCanonicalKeyEquivalence:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_key_queries(), min_size=2, max_size=30))
+    @example(
+        [
+            LibraryQuery(player={"past_winner": True}),
+            LibraryQuery(player={"past_winner": 1}),
+            LibraryQuery(player={"past_winner": 1.0}),
+            LibraryQuery(sequence=("rally", "service"), within=50),
+            LibraryQuery(sequence=["rally", "service"], within=50),
+            LibraryQuery(sequence=("rally", "service"), within=100),
+            LibraryQuery(event="rally", within=50),
+            LibraryQuery(event="rally", within=100),
+            LibraryQuery(text="volée"),
+            LibraryQuery(text="vol\u00e9e"),
+            LibraryQuery(text="volee"),
+        ]
+    )
+    def test_same_classes_as_the_json_key(self, queries):
+        assert _partition(canonical_query_key, queries) == _partition(
+            json_query_key, queries
+        )
+
+    def test_key_is_a_string(self):
+        assert isinstance(canonical_query_key(LibraryQuery(text="網前")), str)
 
 
 class TestCaching:

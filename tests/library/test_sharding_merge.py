@@ -9,7 +9,9 @@ never a reordering, never an invention.
 
 from __future__ import annotations
 
+import pickle
 import zlib
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 from hypothesis import given, settings
@@ -158,3 +160,15 @@ def test_coverage_fraction_and_full():
     partial = Coverage(responded=(0, 2), missing=(1, 3))
     assert partial.fraction == 0.5 and not partial.complete
     assert Coverage(responded=(), missing=()).fraction == 0.0
+
+
+def test_scene_results_are_slotted_frozen_and_cross_processes():
+    """Shard workers pickle results to the coordinator; the ladder and
+    the ANN fusion relabel them with ``dataclasses.replace``."""
+    result = SceneResult("video_000", 3, 9, "rally", "final", ("A", "B"), 0.5)
+    assert not hasattr(result, "__dict__")
+    assert pickle.loads(pickle.dumps(result)) == result
+    relabeled = replace(result, ann_stale=True)
+    assert relabeled.ann_stale and replace(relabeled, ann_stale=False) == result
+    with pytest.raises(FrozenInstanceError):
+        result.score = 1.0
